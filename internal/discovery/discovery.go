@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -91,9 +92,16 @@ func DefaultConfig() Config {
 // re-requests and re-sends records every Period — so the module caches what
 // the steady state re-derives: the sorted record-owner list, the encoded
 // full-set SETPDS payload and the sorted gossip recipient list are computed
-// when the underlying state changes, not per message. The wire format and
-// message sequence are untouched (trace digests are byte-identical to the
-// uncached implementation).
+// when the underlying state changes, not per message.
+//
+// The cached full-set encoding serves both directions. A GETPDS is answered
+// with it, and an incoming SETPDS byte-equal to it is dropped unparsed: the
+// encoding holds exactly the records already in S_PD, so parsing it could
+// add nothing. Once gossip converges almost every SETPDS is such a repeat.
+// Only the send path builds the encoding; the receive path just compares
+// against it when it exists.
+// The wire format and message sequence are untouched (trace digests are
+// byte-identical to the uncached, always-parsing implementation).
 type Module struct {
 	self     model.ID
 	verifier cryptox.Verifier
@@ -105,9 +113,9 @@ type Module struct {
 	started  bool
 
 	// owners is records' key set, kept sorted; encoded is the cached
-	// full-set SETPDS payload (nil after a record arrives); recipients is
-	// the cached sorted view of S_known for the gossip round (nil after
-	// S_known grows).
+	// full-set SETPDS payload, built only by fullSet and dropped only by
+	// insertOwner when a record arrives; recipients is the cached sorted
+	// view of S_known for the gossip round (nil after S_known grows).
 	owners     []model.ID
 	encoded    []byte
 	recipients []model.ID
@@ -282,7 +290,7 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 		m.sendRecords(ctx, from)
 		return true
 	case wire.KindSetPDs:
-		m.receiveRecords(from, payload)
+		m.receiveRecords(payload)
 		return true
 	default:
 		return false
@@ -295,14 +303,7 @@ func (m *Module) Handle(ctx rt.Context, from model.ID, payload []byte) bool {
 // copies on Send).
 func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
 	if !m.cfg.Delta {
-		if m.encoded == nil {
-			recs := make([]SignedPD, 0, len(m.owners))
-			for _, owner := range m.owners {
-				recs = append(recs, m.records[owner])
-			}
-			m.encoded = EncodeSetPDs(recs)
-		}
-		ctx.Send(to, m.encoded)
+		ctx.Send(to, m.fullSet())
 		return
 	}
 	sent := m.sentTo[to]
@@ -327,6 +328,20 @@ func (m *Module) sendRecords(ctx rt.Context, to model.ID) {
 	ctx.Send(to, EncodeSetPDs(recs))
 }
 
+// fullSet returns the full-set SETPDS payload encoding every held record in
+// ascending owner order, building it on first use after insertOwner dropped
+// it. It is the cache's only builder.
+func (m *Module) fullSet() []byte {
+	if m.encoded == nil {
+		recs := make([]SignedPD, 0, len(m.owners))
+		for _, owner := range m.owners {
+			recs = append(recs, m.records[owner])
+		}
+		m.encoded = EncodeSetPDs(recs)
+	}
+	return m.encoded
+}
+
 // EncodeSetPDs builds a ⟨SETPDS, records⟩ payload. Exported so Byzantine
 // behaviors can craft their own replies.
 func EncodeSetPDs(recs []SignedPD) []byte {
@@ -349,16 +364,45 @@ func (m *Module) insertOwner(owner model.ID) {
 	m.encoded = nil
 }
 
-// receiveRecords merges a SETPDS message (lines 4-6). Records that fail
-// signature verification are dropped; for equivocating owners the first
-// verified record wins (correct processes only ever sign one). Records whose
-// owner is already in S_PD — the overwhelming majority once gossip converges
-// — are skipped in place, without materializing their set or signature. The
-// fresh records are verified as one batch (cryptox.VerifyBatch) so the
+// receiveRecords merges a SETPDS message (lines 4-6).
+//
+// Fast path: a payload byte-equal to the module's own cached full-set
+// encoding is dropped without parsing. That encoding holds exactly the
+// records already in S_PD, well formed and in owner order, so parsing it
+// would find every owner held and change nothing. The check compares whole
+// contents (no hash, no retained pointer), so it keeps the rt contract that
+// the payload is only borrowed for the callback. Once gossip converges this
+// is the common case: every correct neighbour re-sends the same S_PD.
+//
+// The receive path never builds the encoding. Between a record's arrival
+// and the next GETPDS the cache is empty and payloads are parsed; building
+// it here as well tripled the encodings built on a probabilistic sweep for
+// no measurable speed-up.
+//
+// Every other payload is parsed. Records that fail signature verification
+// are dropped; for equivocating owners the first verified record wins
+// (correct processes only ever sign one). Records whose owner is already in
+// S_PD are skipped in place, without materializing their set or signature.
+// The fresh records are verified as one batch (cryptox.VerifyBatch) so the
 // registry's memo is consulted once for the whole payload, then merged in
 // payload order — verdicts and merge outcome are exactly those of verifying
 // record by record.
-func (m *Module) receiveRecords(from model.ID, payload []byte) {
+func (m *Module) receiveRecords(payload []byte) {
+	if m.isOwnFullSet(payload) {
+		return
+	}
+	m.mergeRecords(payload)
+}
+
+// isOwnFullSet reports whether payload is byte-equal to the module's cached
+// full-set SETPDS encoding (false while none is cached, as always in delta
+// mode).
+func (m *Module) isOwnFullSet(payload []byte) bool {
+	return m.encoded != nil && bytes.Equal(payload, m.encoded)
+}
+
+// mergeRecords is the parsing merge behind receiveRecords' fast path.
+func (m *Module) mergeRecords(payload []byte) {
 	rd := wire.NewReader(payload[1:])
 	n := rd.Uvarint()
 	if rd.Err() != nil || n > 4096 {
@@ -413,7 +457,6 @@ func (m *Module) receiveRecords(from model.ID, payload []byte) {
 			}
 		}
 	}
-	_ = from
 	if changed && m.onUpdate != nil {
 		m.onUpdate()
 	}

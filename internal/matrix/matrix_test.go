@@ -162,6 +162,24 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// Every outcome carries its measured wall time; the deferred write in
+// runCell must land in the returned value.
+func TestOutcomeWallNSMeasured(t *testing.T) {
+	src, err := StandardSweep(Seeds(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(CellList(Materialize(src)[:4]), Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range rep.Outcomes {
+		if o.WallNS <= 0 {
+			t.Fatalf("cell %s: WallNS = %d, want > 0", o.ID, o.WallNS)
+		}
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	src, err := StandardSweep(Seeds(1, 1))
 	if err != nil {

@@ -128,9 +128,12 @@ func (w *cellRunner) compiled(p scenario.Params) (compiledEntry, error) {
 // scratch. Axis labels come from the compiled entry (or, on a compile error,
 // are rendered once after the error is known), so the hot loop never renders
 // a label twice.
-func (w *cellRunner) runCell(c Cell) Outcome {
+//
+// The result is named so the deferred WallNS write lands in the returned
+// value; with an unnamed result it would run after the copy and be lost.
+func (w *cellRunner) runCell(c Cell) (out Outcome) {
 	p := c.Params
-	out := Outcome{Index: c.Index, F: p.F, Seed: p.Seed}
+	out = Outcome{Index: c.Index, F: p.F, Seed: p.Seed}
 	start := time.Now()
 	defer func() { out.WallNS = time.Since(start).Nanoseconds() }()
 	ent, err := w.compiled(p)
