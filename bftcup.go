@@ -13,8 +13,8 @@
 //   - the full protocol stack — signed Discovery, the Sink algorithm (known
 //     fault threshold), the Core algorithm (unknown fault threshold) and a
 //     PBFT committee phase with the generalized quorum ⌈(|S|+f+1)/2⌉ —
-//     runnable live on goroutines (System) or on a deterministic
-//     discrete-event simulator (Simulate);
+//     runnable live as an in-process netrt cluster over net.Pipe (System)
+//     or on a deterministic discrete-event simulator (Simulate);
 //   - the paper's figure topologies and random topology generators;
 //   - chained (multi-block) consensus over a bootstrapped committee.
 //
@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
@@ -74,6 +75,20 @@ func (p Protocol) String() string {
 		return "permissioned"
 	default:
 		return fmt.Sprintf("protocol(%d)", int(p))
+	}
+}
+
+// mode maps the protocol onto the node stack's committee-identification mode.
+func (p Protocol) mode() (core.Mode, error) {
+	switch p {
+	case ProtocolBFTCUP:
+		return core.ModeKnownF, nil
+	case ProtocolBFTCUPFT:
+		return core.ModeUnknownF, nil
+	case ProtocolPermissioned:
+		return core.ModePermissioned, nil
+	default:
+		return 0, fmt.Errorf("bftcup: unknown protocol %v", p)
 	}
 }
 

@@ -3,6 +3,7 @@ package bftcup
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -99,33 +100,98 @@ func TestLiveSystemQuickstart(t *testing.T) {
 
 func TestLiveSystemChained(t *testing.T) {
 	const blocks = 3
-	sys, err := NewSystem(SystemConfig{
-		Topology: Figure4a(),
-		Protocol: ProtocolBFTCUPFT,
-		Exclude:  []ID{4},
-		Blocks:   blocks,
-		ProposalFor: func(id ID, block int) Value {
-			return Value(fmt.Sprintf("block%d-by-%d", block, id))
-		},
-	})
+	var latencyCalls atomic.Int64
+	for _, tc := range []struct {
+		name    string
+		latency func(from, to ID) time.Duration
+	}{
+		{"latency_none", nil},
+		{"latency_1ms", func(from, to ID) time.Duration {
+			latencyCalls.Add(1)
+			return time.Millisecond
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := NewSystem(SystemConfig{
+				Topology: Figure4a(),
+				Protocol: ProtocolBFTCUPFT,
+				Exclude:  []ID{4},
+				Blocks:   blocks,
+				ProposalFor: func(id ID, block int) Value {
+					return Value(fmt.Sprintf("block%d-by-%d", block, id))
+				},
+				Latency: tc.latency,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Stop()
+			sys.Start()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := sys.WaitAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			all := sys.Decisions()
+			for b := 0; b < blocks; b++ {
+				ref := all[1][b]
+				for _, id := range sys.Started() {
+					if !all[id][b].Equal(ref) {
+						t.Fatalf("block %d differs at %v: %q vs %q", b, id, all[id][b], ref)
+					}
+				}
+			}
+			if tc.latency != nil && latencyCalls.Load() == 0 {
+				t.Fatal("Latency was never consulted")
+			}
+		})
+	}
+}
+
+// TestSystemLifecycle pins Start/Stop ordering: Stop before Start and a
+// second Stop are no-ops, a second Start does not relaunch, and Start after
+// Stop never launches anything.
+func TestSystemLifecycle(t *testing.T) {
+	cfg := SystemConfig{Topology: Figure1b(), Protocol: ProtocolBFTCUP, F: 1, Exclude: []ID{4}}
+
+	stoppedFirst, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stoppedFirst.Stop()
+	stoppedFirst.Start()
+	if stoppedFirst.cluster != nil {
+		t.Fatal("Start after Stop launched a cluster")
+	}
+	stoppedFirst.Stop()
+
+	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Stop()
+	if sys.Messages() != 0 || sys.Bytes() != 0 {
+		t.Fatalf("before Start: Messages %d, Bytes %d, want 0", sys.Messages(), sys.Bytes())
+	}
 	sys.Start()
+	c := sys.cluster
+	sys.Start()
+	if sys.cluster != c {
+		t.Fatal("second Start replaced the cluster")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.WaitAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	all := sys.Decisions()
-	for b := 0; b < blocks; b++ {
-		ref := all[1][b]
-		for _, id := range sys.Started() {
-			if !all[id][b].Equal(ref) {
-				t.Fatalf("block %d differs at %v: %q vs %q", b, id, all[id][b], ref)
-			}
-		}
+	sys.Stop()
+	sys.Stop()
+	sys.Start()
+	if sys.cluster != c {
+		t.Fatal("Start after Stop replaced the cluster")
+	}
+	if sys.Messages() == 0 || sys.Bytes() == 0 {
+		t.Fatal("totals lost after Stop")
 	}
 }
 

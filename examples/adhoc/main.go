@@ -2,7 +2,7 @@
 // (Cavin et al.): nodes of an ad-hoc mesh join knowing only their immediate
 // contacts, one member silently fails, and the rest still agree — without
 // anyone being configured with the system size or the fault threshold.
-// Artificial per-link latency exercises the live runtime's delay paths.
+// Artificial per-link latency exercises the netrt runtime's delay hook.
 package main
 
 import (

@@ -18,7 +18,7 @@
 // ⌈(|S|+1)/2⌉ matching answers (Algorithm 3).
 //
 // A Node is a sim.Reactor: the same implementation runs on the deterministic
-// simulator (package sim) and on the concurrent live runtime (package live).
+// simulator (package sim) and on the concurrent live runtime (package netrt).
 // Committee-consensus messages that arrive before the committee is identified
 // are buffered — copied, because the simulator recycles payload buffers after
 // each delivery — and replayed once the search succeeds.

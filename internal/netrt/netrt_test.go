@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,5 +267,91 @@ func TestSenderReconnects(t *testing.T) {
 		case <-deadline:
 			t.Fatal("message never arrived after reconnect")
 		}
+	}
+}
+
+// chatterReactor keeps ping traffic and 1ms timers running for as long as
+// its node lives, to stress shutdown.
+type chatterReactor struct{ peer model.ID }
+
+func (c chatterReactor) Init(ctx rt.Context) {
+	ctx.Send(c.peer, []byte("ping"))
+	ctx.SetTimer(rt.Millisecond, 1)
+}
+
+func (c chatterReactor) Receive(ctx rt.Context, from model.ID, _ []byte) {
+	ctx.Send(from, []byte("ping"))
+}
+
+func (c chatterReactor) Timer(ctx rt.Context, tag uint64) {
+	ctx.Send(c.peer, []byte("tick"))
+	ctx.SetTimer(rt.Millisecond, tag)
+}
+
+// TestClusterStopIsIdempotentAndJoins stops a busy pipe cluster twice; both
+// calls must return, and sends or timers issued after Stop must neither
+// panic nor resurrect anything.
+func TestClusterStopIsIdempotentAndJoins(t *testing.T) {
+	c, err := NewCluster(context.Background(), []model.ID{1, 2},
+		func(id model.ID) rt.Reactor { return chatterReactor{peer: 3 - id} },
+		ClusterConfig{Transport: "pipe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return")
+	}
+	if c.Messages() == 0 {
+		t.Fatal("no traffic before Stop")
+	}
+	late := &nodeCtx{n: c.Nodes[1]}
+	late.Send(2, []byte("late"))
+	late.SetTimer(rt.Millisecond, 1)
+}
+
+func TestMailbox(t *testing.T) {
+	m := newMailbox()
+	const n = 100
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m.push(envelope{tag: uint64(i)})
+		}(i)
+	}
+	got := 0
+	donePop := make(chan struct{})
+	go func() {
+		defer close(donePop)
+		for got < n {
+			if _, ok := m.pop(); !ok {
+				return
+			}
+			got++
+		}
+	}()
+	wg.Wait()
+	select {
+	case <-donePop:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("mailbox stalled: got %d of %d", got, n)
+	}
+	m.close()
+	if _, ok := m.pop(); ok {
+		t.Fatal("pop after close on empty queue should report closed")
+	}
+	m.push(envelope{}) // push after close is a no-op
+	if _, ok := m.pop(); ok {
+		t.Fatal("push after close was queued")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/scenario"
 	"github.com/bftcup/bftcup/internal/sim"
@@ -135,16 +134,9 @@ func Simulate(opt SimOptions) (*SimReport, error) {
 	if len(opt.Topology) == 0 {
 		return nil, fmt.Errorf("bftcup: empty topology")
 	}
-	var mode core.Mode
-	switch opt.Protocol {
-	case ProtocolBFTCUP:
-		mode = core.ModeKnownF
-	case ProtocolBFTCUPFT:
-		mode = core.ModeUnknownF
-	case ProtocolPermissioned:
-		mode = core.ModePermissioned
-	default:
-		return nil, fmt.Errorf("bftcup: unknown protocol %v", opt.Protocol)
+	mode, err := opt.Protocol.mode()
+	if err != nil {
+		return nil, err
 	}
 	spec := scenario.Spec{
 		Name:    "simulate",

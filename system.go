@@ -9,14 +9,25 @@ import (
 
 	"github.com/bftcup/bftcup/internal/core"
 	"github.com/bftcup/bftcup/internal/cryptox"
-	"github.com/bftcup/bftcup/internal/live"
 	"github.com/bftcup/bftcup/internal/model"
+	"github.com/bftcup/bftcup/internal/netrt"
+	"github.com/bftcup/bftcup/internal/rt"
 	"github.com/bftcup/bftcup/internal/sim"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// SystemConfig assembles a live (goroutine-based) run of the protocol stack.
+// SystemConfig assembles a live run of the protocol stack on the netrt
+// runtime: every started process is one netrt node with its own event-loop
+// goroutine and wall-clock timers, linked to every other started process by
+// net.Pipe streams.
+//
+// Sends are fire-and-forget. Each link has an outbound queue of 1024
+// messages, and a send that finds it full is dropped (Messages and Bytes
+// still count it). A pipe link drains as fast as the receiving node's reader
+// goroutine takes frames off it, so the queue fills only when a sender gets
+// 1024 messages ahead of that reader, or sends that many before the link is
+// first up.
 type SystemConfig struct {
 	// Topology is the knowledge connectivity graph; each started process
 	// uses its out-list as its participant detector.
@@ -37,7 +48,8 @@ type SystemConfig struct {
 	Blocks int
 	// ProposalFor overrides per-block proposals in chained mode.
 	ProposalFor func(id ID, block int) Value
-	// Latency optionally injects artificial per-link delay.
+	// Latency optionally injects artificial per-link delay: each message is
+	// held back by Latency(from, to) before it enters the link's queue.
 	Latency func(from, to ID) time.Duration
 	// DiscoveryPeriod, ConsensusTimeout and PollPeriod tune the protocol
 	// timers (sane defaults when zero).
@@ -60,9 +72,13 @@ type Decision struct {
 
 // System is a running live network of BFT-CUP/BFT-CUPFT processes.
 type System struct {
-	net     *live.Network
-	blocks  int
+	latency func(from, to ID) time.Duration
+	nodes   map[ID]rt.Reactor
 	started []ID
+
+	lifeMu  sync.Mutex // guards cluster and stopped
+	cluster *netrt.Cluster
+	stopped bool
 
 	mu         sync.Mutex
 	decisions  map[ID]map[int]Value
@@ -98,21 +114,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	excluded := model.NewIDSet(cfg.Exclude...)
 
-	var mode core.Mode
-	switch cfg.Protocol {
-	case ProtocolBFTCUP:
-		mode = core.ModeKnownF
-	case ProtocolBFTCUPFT:
-		mode = core.ModeUnknownF
-	case ProtocolPermissioned:
-		mode = core.ModePermissioned
-	default:
-		return nil, fmt.Errorf("bftcup: unknown protocol %v", cfg.Protocol)
+	mode, err := cfg.Protocol.mode()
+	if err != nil {
+		return nil, err
 	}
 
 	s := &System{
-		net:        live.NewNetwork(wrapLatency(cfg.Latency)),
-		blocks:     cfg.Blocks,
+		latency:    cfg.Latency,
+		nodes:      make(map[ID]rt.Reactor),
 		decisions:  make(map[ID]map[int]Value),
 		committees: make(map[ID][]ID),
 		done:       make(chan struct{}),
@@ -145,9 +154,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			s.recordDecision(node, id, int(slot), v)
 		}
 		node = core.NewNode(signers[id], registry, nodeCfg, nil)
-		if err := s.net.AddNode(id, node); err != nil {
-			return nil, fmt.Errorf("bftcup: %w", err)
-		}
+		s.nodes[id] = node
 		s.started = append(s.started, id)
 		s.decisions[id] = make(map[int]Value)
 	}
@@ -157,13 +164,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sortIDs(s.started)
 	s.remaining = len(s.started) * cfg.Blocks
 	return s, nil
-}
-
-func wrapLatency(f func(from, to ID) time.Duration) func(model.ID, model.ID) time.Duration {
-	if f == nil {
-		return nil
-	}
-	return func(a, b model.ID) time.Duration { return f(a, b) }
 }
 
 // recordDecision runs on the deciding node's goroutine.
@@ -189,11 +189,37 @@ func (s *System) recordDecision(node *core.Node, id ID, block int, v Value) {
 	}
 }
 
-// Start launches the network.
-func (s *System) Start() { s.net.Start() }
+// Start launches the network. It is idempotent and does nothing once Stop
+// has been called.
+func (s *System) Start() {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	if s.cluster != nil || s.stopped {
+		return
+	}
+	cc := netrt.ClusterConfig{Transport: "pipe"}
+	if latency := s.latency; latency != nil {
+		cc.Delay = func(from, to model.ID, _ rt.Time) rt.Time { return rt.Time(latency(from, to)) }
+	}
+	c, err := netrt.NewCluster(context.Background(), s.started,
+		func(id model.ID) rt.Reactor { return s.nodes[id] }, cc)
+	if err != nil {
+		// A pipe cluster opens no listener, so NewCluster cannot fail here.
+		panic(err)
+	}
+	s.cluster = c
+}
 
-// Stop shuts the network down and joins every goroutine. Idempotent.
-func (s *System) Stop() { s.net.Stop() }
+// Stop shuts the network down and joins every goroutine. Idempotent, and
+// safe to call before Start.
+func (s *System) Stop() {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	s.stopped = true
+	if s.cluster != nil {
+		s.cluster.Stop()
+	}
+}
 
 // Events returns a stream of decisions (best-effort: if the consumer lags,
 // events are dropped from the stream but still recorded in Decisions).
@@ -246,8 +272,18 @@ func (s *System) CommitteeOf(id ID) ([]ID, bool) {
 // Started returns the processes actually running (topology minus Exclude).
 func (s *System) Started() []ID { return append([]ID(nil), s.started...) }
 
-// Messages returns the total messages sent so far.
-func (s *System) Messages() int64 { return s.net.Messages() }
+// Messages returns the total messages sent so far (0 before Start).
+func (s *System) Messages() int64 { return s.total((*netrt.Cluster).Messages) }
 
-// Bytes returns the total payload bytes sent so far.
-func (s *System) Bytes() int64 { return s.net.Bytes() }
+// Bytes returns the total payload bytes sent so far (0 before Start).
+func (s *System) Bytes() int64 { return s.total((*netrt.Cluster).Bytes) }
+
+// total reads one cluster-wide counter, or 0 before Start.
+func (s *System) total(read func(*netrt.Cluster) int64) int64 {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	if s.cluster == nil {
+		return 0
+	}
+	return read(s.cluster)
+}
