@@ -41,9 +41,7 @@ import (
 	"time"
 
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/graph"
-	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -98,7 +96,7 @@ func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst
 	if err != nil {
 		return scenario.Params{}, err
 	}
-	mode, err := parseMode(modeName)
+	mode, err := core.ParseMode(modeName)
 	if err != nil {
 		return scenario.Params{}, err
 	}
@@ -106,7 +104,7 @@ func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst
 	if err != nil {
 		return scenario.Params{}, err
 	}
-	byz, err := parseByz(byzFlag)
+	byz, err := scenario.ParseByz(byzFlag)
 	if err != nil {
 		return scenario.Params{}, err
 	}
@@ -119,46 +117,6 @@ func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst
 		Net:     scenario.NetParams{Kind: kind, GST: sim.Time(gst)},
 		Horizon: sim.Time(horizon),
 	}, nil
-}
-
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "bft-cup":
-		return core.ModeKnownF, nil
-	case "bft-cupft":
-		return core.ModeUnknownF, nil
-	case "naive":
-		return core.ModeNaive, nil
-	case "permissioned":
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseByz(s string) (map[model.ID]scenario.ByzParams, error) {
-	out := make(map[model.ID]scenario.ByzParams)
-	if s == "" {
-		return out, nil
-	}
-	for _, item := range strings.Split(s, ",") {
-		kv := strings.SplitN(item, ":", 2)
-		raw, err := strconv.ParseUint(kv[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad byzantine spec %q", item)
-		}
-		kind := "silent"
-		if len(kv) == 2 {
-			kind = kv[1]
-		}
-		var bp scenario.ByzParams
-		bp.Kind, err = scenario.ParseByzKind(kind)
-		if err != nil {
-			return nil, err
-		}
-		out[model.ID(raw)] = bp
-	}
-	return out, nil
 }
 
 // runCluster boots the whole compiled scenario as an in-process cluster over
@@ -237,35 +195,12 @@ func runNode(params scenario.Params, id model.ID, listen, peersFlag string, scal
 		fail(err)
 	}
 
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(ids)
-	} else {
-		signers, reg, err = cryptox.Keyring(params.Seed+1, ids)
-		if err != nil {
-			fail(err)
-		}
+	signers, reg, err := c.Keys(params.Seed)
+	if err != nil {
+		fail(err)
 	}
-
 	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
-	value := model.Value(fmt.Sprintf("v%d", uint64(id)))
-	if v, ok := c.Values[id]; ok {
-		value = v
-	}
-	cfg := core.Config{
-		Mode:        c.Mode,
-		F:           c.F,
-		PD:          c.Graph.OutSet(id).Clone(),
-		Proposal:    value,
-		Discovery:   disc,
-		PBFTTimeout: pbftTimeout,
-		PollPeriod:  pollPeriod,
-		Hardened:    c.Hardened,
-	}
-	if c.Mode != core.ModePermissioned {
-		cfg.Searcher = kosr.NewSearcher()
-	}
+	cfg := c.NodeConfig(id, disc, pbftTimeout, pollPeriod)
 
 	begin := time.Now()
 	decided := make(chan model.Value, 1)

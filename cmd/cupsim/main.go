@@ -115,11 +115,11 @@ func buildParams(graphName, modeName string, f int, byzFlag, netName string, gst
 	if err != nil {
 		return scenario.Params{}, err
 	}
-	mode, err := parseMode(modeName)
+	mode, err := core.ParseMode(modeName)
 	if err != nil {
 		return scenario.Params{}, err
 	}
-	byz, err := parseByz(byzFlag)
+	byz, err := scenario.ParseByz(byzFlag)
 	if err != nil {
 		return scenario.Params{}, err
 	}
@@ -284,46 +284,6 @@ func runSingle(params scenario.Params, graphName string) {
 	if res.Verdict() == "✗" {
 		os.Exit(1)
 	}
-}
-
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "bft-cup":
-		return core.ModeKnownF, nil
-	case "bft-cupft":
-		return core.ModeUnknownF, nil
-	case "naive":
-		return core.ModeNaive, nil
-	case "permissioned":
-		return core.ModePermissioned, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseByz(s string) (map[model.ID]scenario.ByzParams, error) {
-	out := make(map[model.ID]scenario.ByzParams)
-	if s == "" {
-		return out, nil
-	}
-	for _, item := range strings.Split(s, ",") {
-		kv := strings.SplitN(item, ":", 2)
-		raw, err := strconv.ParseUint(kv[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad byzantine spec %q", item)
-		}
-		kind := "silent"
-		if len(kv) == 2 {
-			kind = kv[1]
-		}
-		var bp scenario.ByzParams
-		bp.Kind, err = scenario.ParseByzKind(kind)
-		if err != nil {
-			return nil, err
-		}
-		out[model.ID(raw)] = bp
-	}
-	return out, nil
 }
 
 func buildNet(name string, gst time.Duration, slow string) (scenario.NetParams, error) {

@@ -39,6 +39,22 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode parses a Mode's String form (the inverse of String).
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "bft-cup":
+		return ModeKnownF, nil
+	case "bft-cupft":
+		return ModeUnknownF, nil
+	case "naive":
+		return ModeNaive, nil
+	case "permissioned":
+		return ModePermissioned, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
+	}
+}
+
 // pollTag drives the non-member GETDECIDEDVAL loop.
 const pollTag uint64 = 2 << 40
 

@@ -141,3 +141,12 @@ func (c *Cluster) Bytes() int64 {
 	}
 	return t
 }
+
+// Dropped totals sends discarded on full peer queues across the cluster.
+func (c *Cluster) Dropped() int64 {
+	var t int64
+	for _, n := range c.Nodes {
+		t += n.Dropped()
+	}
+	return t
+}

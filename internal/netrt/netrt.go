@@ -111,8 +111,8 @@ type Config struct {
 	// MaxFrame caps inbound frame sizes; 0 means MaxFrame.
 	MaxFrame int
 	// QueueLen bounds each peer's outbound queue; a full queue drops the
-	// message (fire-and-forget, like the simulator's lossy links). 0 means
-	// 1024.
+	// message (fire-and-forget, like the simulator's lossy links) and counts
+	// it in Dropped. 0 means 1024.
 	QueueLen int
 	// RedialBackoff is the initial redial delay after a failed dial or a
 	// broken stream, doubling up to 64x. 0 means 5ms.
@@ -146,6 +146,7 @@ type Node struct {
 
 	messages atomic.Int64
 	bytes    atomic.Int64
+	dropped  atomic.Int64
 }
 
 // peerQueue is one peer's outbound stream queue.
@@ -153,11 +154,13 @@ type peerQueue struct {
 	ch chan []byte
 }
 
-// offer enqueues without blocking; a full queue drops the message.
-func (q *peerQueue) offer(b []byte) {
+// offer enqueues on q without blocking; a full queue drops the message and
+// counts the drop.
+func (n *Node) offer(q *peerQueue, b []byte) {
 	select {
 	case q.ch <- b:
 	default:
+		n.dropped.Add(1)
 	}
 }
 
@@ -246,6 +249,10 @@ func (n *Node) Messages() int64 { return n.messages.Load() }
 
 // Bytes returns the payload bytes of accepted outbound sends so far.
 func (n *Node) Bytes() int64 { return n.bytes.Load() }
+
+// Dropped returns the number of accepted sends discarded because the peer's
+// outbound queue was full.
+func (n *Node) Dropped() int64 { return n.dropped.Load() }
 
 // Serve accepts inbound connections on ln until the node's context ends
 // (which also closes the listener). Must be called after Start.
@@ -435,13 +442,13 @@ func (c *nodeCtx) Send(to model.ID, payload []byte) {
 			ref := &timerRef{}
 			ref.t = time.AfterFunc(time.Duration(d), func() {
 				ref.done.Store(true)
-				q.offer(body)
+				n.offer(q, body)
 			})
 			n.trackTimer(ref)
 			return
 		}
 	}
-	q.offer(body)
+	n.offer(q, body)
 }
 
 func (c *nodeCtx) SetTimer(d rt.Time, tag uint64) {

@@ -355,3 +355,45 @@ func TestMailbox(t *testing.T) {
 		t.Fatal("push after close was queued")
 	}
 }
+
+// TestFullQueueCountsDrops floods a peer whose stream never drains: the
+// dialed pipe is never read, so the sender stalls on the hello frame and
+// the one-slot queue overflows. Every send is counted as a message, and
+// every send past the first as a drop.
+func TestFullQueueCountsDrops(t *testing.T) {
+	var stuck []net.Conn
+	var mu sync.Mutex
+	n := NewNode(Config{
+		ID:       1,
+		Peers:    []model.ID{2},
+		QueueLen: 1,
+		Dial: func(context.Context, model.ID) (net.Conn, error) {
+			us, them := net.Pipe()
+			mu.Lock()
+			stuck = append(stuck, them)
+			mu.Unlock()
+			return us, nil
+		},
+	}, &pingReactor{got: make(chan recvd, 1)})
+	n.Start(context.Background())
+	defer func() {
+		n.Stop()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range stuck {
+			c.Close()
+		}
+	}()
+
+	const sends = 10
+	ctx := &nodeCtx{n: n}
+	for i := 0; i < sends; i++ {
+		ctx.Send(2, []byte("flood"))
+	}
+	if got := n.Messages(); got != sends {
+		t.Errorf("Messages() = %d, want %d", got, sends)
+	}
+	if got := n.Dropped(); got != sends-1 {
+		t.Errorf("Dropped() = %d, want %d", got, sends-1)
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/bftcup/bftcup/internal/byz"
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
 	"github.com/bftcup/bftcup/internal/graph"
 	"github.com/bftcup/bftcup/internal/kosr"
@@ -353,15 +351,10 @@ func (c *Compiled) Run(seed int64, trace bool) (*Result, error) {
 // owned by the Runner and valid only until its next Run — callers that
 // retain results across cells must copy what they keep.
 type Runner struct {
-	engine        *sim.Engine
-	proposals     map[model.ID]model.Value
-	nodes         map[model.ID]*core.Node
-	correct       model.IDSet
-	decisions     map[model.ID]model.Value
-	decidedAt     map[model.ID]sim.Time
-	doubleDecided model.IDSet
-	perProcess    map[model.ID]ProcessResult
-	res           Result
+	engine     *sim.Engine
+	tally      tally
+	perProcess map[model.ID]ProcessResult
+	res        Result
 	// searchers is the pool of per-node incremental sink/core search
 	// engines, handed out in node-creation order each run so the knowledge
 	// layer's scratch (Tarjan stacks, max-flow arrays, verdict memos) is
@@ -393,95 +386,43 @@ func (r *Runner) nextSearcher() *kosr.Searcher {
 func (r *Runner) reset(net sim.NetworkModel, seed int64) {
 	if r.engine == nil {
 		r.engine = sim.NewEngine(net, seed)
-		r.proposals = make(map[model.ID]model.Value)
-		r.nodes = make(map[model.ID]*core.Node)
-		r.correct = model.NewIDSet()
-		r.decisions = make(map[model.ID]model.Value)
-		r.decidedAt = make(map[model.ID]sim.Time)
-		r.doubleDecided = model.NewIDSet()
+		r.tally = newTally()
 		r.perProcess = make(map[model.ID]ProcessResult)
 		return
 	}
 	r.engine.Reset(net, seed)
-	clear(r.proposals)
-	clear(r.nodes)
-	clear(r.correct)
-	clear(r.decisions)
-	clear(r.decidedAt)
-	clear(r.doubleDecided)
+	r.tally.reset()
 	clear(r.perProcess)
 	r.searcherNext = 0
 }
 
-// Run executes the compiled scenario under one seed: generate (or fetch from
-// the keyring cache) the key material, wire up the reactors, drive the
-// engine to decision or horizon, and grade the outcome — exactly the
-// execution scenario.Run has always performed, minus everything Compile
-// already did.
+// Run executes the compiled scenario under one seed: fetch the key
+// material, assemble the reactors, schedule the churn, drive the engine to
+// decision or horizon, and grade the outcome — exactly the execution
+// scenario.Run has always performed, minus everything Compile already did.
 func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 	name := c.Name
 	if c.deriveName {
 		name = c.Labels.IDFor(seed)
 	}
 	r.reset(c.Net, seed)
-	engine := r.engine
+	engine, t := r.engine, &r.tally
 
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(c.ids)
-	} else {
-		var err error
-		signers, reg, err = cryptox.Keyring(seed+1, c.ids)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
+	signers, reg, err := c.Keys(seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-
 	var tr *sim.Trace
 	if trace {
 		tr = sim.NewTrace()
 		engine.SetTrace(tr)
-	}
-	r.res = Result{Name: name, PerProcess: r.perProcess}
-	res := &r.res
-	proposals, nodes, correct := r.proposals, r.nodes, r.correct
-	decisions, decidedAt, doubleDecided := r.decisions, r.decidedAt, r.doubleDecided
-	// decidedCorrect counts first decisions by correct processes, so the
-	// per-event termination check is one comparison instead of a set scan.
-	decidedCorrect := 0
-
-	// Colluding-group state is mutable run state, so it is built here per
-	// run, never stored in the (goroutine-shared, immutable) Compiled.
-	// Members join in sorted ID order before the engine starts — the group
-	// record list is part of every member's replies from the first round.
-	var collusion *byz.Collusion
-	var colluders map[model.ID]*byz.Colluder
-	for _, id := range c.ids {
-		if bspec, ok := c.Byz[id]; ok && bspec.Kind == ByzCollude {
-			if collusion == nil {
-				collusion = byz.NewCollusion(reg, c.Discovery)
-				colluders = make(map[model.ID]*byz.Colluder)
-			}
-			colluders[id] = collusion.AddMember(signers[id], resolveClaim(c, id, bspec), bspec.Withhold)
-		}
 	}
 
 	// makeNode builds a correct node for one process. It is also how wiped
 	// churn restarts get their replacement reactor: the replacement is built
 	// here, before the engine starts, so searcher handout order (node loop
 	// order, then churn order) stays deterministic.
-	makeNode := func(id model.ID, value model.Value) *core.Node {
-		cfg := core.Config{
-			Mode:        c.Mode,
-			F:           c.F,
-			PD:          c.Graph.OutSet(id).Clone(),
-			Proposal:    value,
-			Discovery:   c.Discovery,
-			PBFTTimeout: c.PBFTTimeout,
-			PollPeriod:  c.PollPeriod,
-			Hardened:    c.Hardened,
-		}
+	makeNode := func(id model.ID, cfg core.Config) *core.Node {
 		if c.Mode != core.ModePermissioned {
 			if r.SearchFactory != nil {
 				cfg.Searcher = r.SearchFactory()
@@ -490,74 +431,14 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 			}
 		}
 		return core.NewNode(signers[id], reg, cfg, func(v model.Value) {
-			if prev, dup := decisions[id]; dup {
-				// A wiped restart legitimately re-runs agreement; only a
-				// *conflicting* second decision is an integrity violation.
-				if !prev.Equal(v) {
-					doubleDecided.Add(id)
-				}
-				return
-			}
-			decisions[id] = v
-			decidedAt[id] = engine.Now()
-			if correct.Has(id) {
-				decidedCorrect++
-			}
-			if tr != nil {
+			if t.decide(id, v, engine.Now()) && tr != nil {
 				tr.RecordDecision(id, engine.Now(), []byte(v))
 			}
 		})
 	}
-
-	for _, id := range c.ids {
-		id := id
-		value := model.Value(fmt.Sprintf("v%d", id))
-		if v, ok := c.Values[id]; ok {
-			value = v
-		}
-		proposals[id] = value
-
-		bspec, isByz := c.Byz[id]
-		if !isByz || bspec.Kind == ByzAsCorrect {
-			n := makeNode(id, value)
-			nodes[id] = n
-			if err := engine.AddProcess(id, n); err != nil {
-				return nil, err
-			}
-			if !isByz {
-				correct.Add(id)
-			}
-			continue
-		}
-		var reactor sim.Reactor
-		switch bspec.Kind {
-		case ByzSilent:
-			reactor = byz.Silent{}
-		case ByzFakePD:
-			reactor = byz.NewFakePD(signers[id], reg, resolveClaim(c, id, bspec), c.Discovery)
-		case ByzEquivPD:
-			alt := bspec.AltPD
-			if alt == nil {
-				alt = model.NewIDSet()
-			}
-			choose := bspec.ChooseAlt
-			if bspec.AltRecipients != nil {
-				recipients := bspec.AltRecipients
-				choose = func(id model.ID) bool { return recipients.Has(id) }
-			}
-			reactor = byz.NewPDEquivocator(signers[id], reg, resolveClaim(c, id, bspec), alt, choose, c.Discovery)
-		case ByzDelay:
-			reactor = byz.NewDelayer(signers[id], reg, resolveClaim(c, id, bspec), c.Discovery, bspec.HoldRounds)
-		case ByzSelectiveSilent:
-			reactor = byz.NewSelectiveSilent(signers[id], reg, resolveClaim(c, id, bspec), bspec.AnswerTo, c.Discovery)
-		case ByzCollude:
-			reactor = colluders[id]
-		default:
-			return nil, fmt.Errorf("scenario %q: unknown byz kind %v", name, bspec.Kind)
-		}
-		if err := engine.AddProcess(id, reactor); err != nil {
-			return nil, err
-		}
+	err = c.assemble(t, signers, reg, c.Discovery, c.PBFTTimeout, c.PollPeriod, makeNode, engine.AddProcess)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
 
 	for _, ch := range c.Faults.Churn {
@@ -566,75 +447,27 @@ func (r *Runner) Run(c *Compiled, seed int64, trace bool) (*Result, error) {
 		case ch.RestartAt == 0:
 			// Down for the rest of the run: graded as crash-faulty (excluded
 			// from the correct set), not as a termination failure.
-			correct.Remove(ch.ID)
+			t.correct.Remove(ch.ID)
 		case ch.Wipe:
 			// Compile rejected Wipe on Byzantine IDs, so this process has a
 			// correct node whose discovery state the restart discards.
-			repl := makeNode(ch.ID, proposals[ch.ID])
-			nodes[ch.ID] = repl
+			repl := makeNode(ch.ID, c.NodeConfig(ch.ID, c.Discovery, c.PBFTTimeout, c.PollPeriod))
+			t.nodes[ch.ID] = repl
 			engine.ScheduleRestart(ch.ID, ch.RestartAt, repl)
 		default:
 			engine.ScheduleRestart(ch.ID, ch.RestartAt, nil)
 		}
 	}
 
-	allCorrectDecided := func() bool { return decidedCorrect == correct.Len() }
-	res.Termination = engine.RunUntil(allCorrectDecided, c.Horizon)
+	r.res = Result{Name: name, PerProcess: r.perProcess}
+	res := &r.res
+	res.Termination = engine.RunUntil(t.allDecided, c.Horizon)
 	// Let in-flight decisions propagate a little further for reporting, but
 	// never past the horizon.
 	if res.Termination {
 		engine.RunUntil(func() bool { return false }, minTime(engine.Now()+sim.Second, c.Horizon))
 	}
-
-	res.Agreement, res.Validity, res.Integrity = true, true, true
-	for id := range doubleDecided {
-		if correct.Has(id) {
-			res.Integrity = false
-		}
-	}
-	var last sim.Time
-	var agreed model.Value
-	first := true
-	for _, id := range c.ids {
-		pr := ProcessResult{Byzantine: hasByz(c.Byz, id)}
-		if n, ok := nodes[id]; ok {
-			if cand, ok := n.Committee(); ok {
-				pr.Committee = cand.Members()
-				pr.G = cand.G
-			}
-		}
-		if v, ok := decisions[id]; ok {
-			pr.Decided, pr.Value, pr.DecidedAt = true, v, decidedAt[id]
-		}
-		res.PerProcess[id] = pr
-
-		if !correct.Has(id) || !pr.Decided {
-			continue
-		}
-		if pr.DecidedAt > last {
-			last = pr.DecidedAt
-		}
-		if first {
-			agreed, first = pr.Value, false
-		} else if !agreed.Equal(pr.Value) {
-			res.Agreement = false
-		}
-		proposed := false
-		for _, p := range proposals {
-			if p.Equal(pr.Value) {
-				proposed = true
-				break
-			}
-		}
-		if !proposed {
-			res.Validity = false
-		}
-	}
-	if res.Termination {
-		res.Elapsed = last
-	} else {
-		res.Elapsed = c.Horizon
-	}
+	c.grade(res, t)
 	if tr != nil {
 		res.TraceDigest, res.TraceEvents = tr.Digest(), tr.Events()
 	}

@@ -7,11 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/bftcup/bftcup/internal/byz"
 	"github.com/bftcup/bftcup/internal/core"
-	"github.com/bftcup/bftcup/internal/cryptox"
 	"github.com/bftcup/bftcup/internal/discovery"
-	"github.com/bftcup/bftcup/internal/kosr"
 	"github.com/bftcup/bftcup/internal/model"
 	"github.com/bftcup/bftcup/internal/netrt"
 	"github.com/bftcup/bftcup/internal/rt"
@@ -20,11 +17,11 @@ import (
 
 // RunLive executes a Compiled scenario over the real-runtime stack instead of
 // the simulator: the same reactors (correct nodes and the Byzantine zoo),
-// built from the same compiled graph, keys and placement, run as goroutines
-// over netrt streams — localhost TCP or net.Pipe — and are graded by the same
-// agreement/validity/integrity/termination rules as Runner.Run. The simulator
-// and this path are twins: on the same compiled cell they must reach the same
-// verdicts, and the twin tests pin exactly that.
+// built by the same assembly code from the same compiled graph, keys and
+// placement (see assemble.go), run as goroutines over netrt streams —
+// localhost TCP or net.Pipe — and are graded by the same code as Runner.Run.
+// The simulator and this path are twins: on the same compiled cell they must
+// reach the same verdicts, and the twin tests pin exactly that.
 //
 // Live runs are wall-clock bound, so virtual durations are mapped to real
 // time divided by LiveOptions.Scale: protocol periods, timeouts, the horizon
@@ -121,130 +118,40 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	if transport == "" {
 		transport = "pipe"
 	}
-
-	var signers map[model.ID]cryptox.Signer
-	var reg cryptox.Verifier
-	if c.Insecure {
-		signers, reg = cryptox.InsecureSuite(c.ids)
-	} else {
-		var err error
-		signers, reg, err = cryptox.Keyring(seed+1, c.ids)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", name, err)
-		}
+	signers, reg, err := c.Keys(seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-
-	// The protocol stack's virtual durations, scaled once for every reactor.
-	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
 
 	// Grading state; decision callbacks arrive on node event-loop
 	// goroutines, so unlike Runner.Run this is mutex-guarded.
 	var (
-		mu             sync.Mutex
-		start          time.Time
-		proposals      = make(map[model.ID]model.Value)
-		nodes          = make(map[model.ID]*core.Node)
-		correct        = model.NewIDSet()
-		decisions      = make(map[model.ID]model.Value)
-		decidedAt      = make(map[model.ID]rt.Time)
-		doubleDecided  = model.NewIDSet()
-		decidedCorrect = 0
-		done           = make(chan struct{})
-		doneOnce       sync.Once
+		mu       sync.Mutex
+		start    time.Time
+		t        = newTally()
+		done     = make(chan struct{})
+		doneOnce sync.Once
 	)
-
-	var collusion *byz.Collusion
-	colluders := map[model.ID]*byz.Colluder{}
-	for _, id := range c.ids {
-		if bspec, ok := c.Byz[id]; ok && bspec.Kind == ByzCollude {
-			if collusion == nil {
-				collusion = byz.NewCollusion(reg, disc)
-			}
-			colluders[id] = collusion.AddMember(signers[id], resolveClaim(c, id, bspec), bspec.Withhold)
-		}
-	}
-
-	makeNode := func(id model.ID, value model.Value) *core.Node {
-		cfg := core.Config{
-			Mode:        c.Mode,
-			F:           c.F,
-			PD:          c.Graph.OutSet(id).Clone(),
-			Proposal:    value,
-			Discovery:   disc,
-			PBFTTimeout: pbftTimeout,
-			PollPeriod:  pollPeriod,
-			Hardened:    c.Hardened,
-		}
-		if c.Mode != core.ModePermissioned {
-			cfg.Searcher = kosr.NewSearcher()
-		}
+	makeNode := func(id model.ID, cfg core.Config) *core.Node {
 		return core.NewNode(signers[id], reg, cfg, func(v model.Value) {
 			mu.Lock()
 			defer mu.Unlock()
-			if prev, dup := decisions[id]; dup {
-				if !prev.Equal(v) {
-					doubleDecided.Add(id)
-				}
-				return
-			}
-			decisions[id] = v
 			// Reported in virtual units, like every simulator result.
-			decidedAt[id] = rt.Time(time.Since(start)) * rt.Time(scale)
-			if correct.Has(id) {
-				decidedCorrect++
-				if decidedCorrect == correct.Len() {
-					doneOnce.Do(func() { close(done) })
-				}
+			if t.decide(id, v, rt.Time(time.Since(start))*rt.Time(scale)) && t.allDecided() {
+				doneOnce.Do(func() { close(done) })
 			}
 		})
 	}
-
 	reactors := make(map[model.ID]rt.Reactor, len(c.ids))
-	for _, id := range c.ids {
-		value := model.Value(fmt.Sprintf("v%d", id))
-		if v, ok := c.Values[id]; ok {
-			value = v
-		}
-		proposals[id] = value
-
-		bspec, isByz := c.Byz[id]
-		if !isByz || bspec.Kind == ByzAsCorrect {
-			n := makeNode(id, value)
-			nodes[id] = n
-			reactors[id] = n
-			if !isByz {
-				correct.Add(id)
-			}
-			continue
-		}
-		switch bspec.Kind {
-		case ByzSilent:
-			reactors[id] = byz.Silent{}
-		case ByzFakePD:
-			reactors[id] = byz.NewFakePD(signers[id], reg, resolveClaim(c, id, bspec), disc)
-		case ByzEquivPD:
-			alt := bspec.AltPD
-			if alt == nil {
-				alt = model.NewIDSet()
-			}
-			choose := bspec.ChooseAlt
-			if bspec.AltRecipients != nil {
-				recipients := bspec.AltRecipients
-				choose = func(id model.ID) bool { return recipients.Has(id) }
-			}
-			reactors[id] = byz.NewPDEquivocator(signers[id], reg, resolveClaim(c, id, bspec), alt, choose, disc)
-		case ByzDelay:
-			reactors[id] = byz.NewDelayer(signers[id], reg, resolveClaim(c, id, bspec), disc, bspec.HoldRounds)
-		case ByzSelectiveSilent:
-			reactors[id] = byz.NewSelectiveSilent(signers[id], reg, resolveClaim(c, id, bspec), bspec.AnswerTo, disc)
-		case ByzCollude:
-			reactors[id] = colluders[id]
-		default:
-			return nil, fmt.Errorf("scenario %q: unknown byz kind %v", name, bspec.Kind)
-		}
+	disc, pbftTimeout, pollPeriod := c.LiveDurations(scale)
+	err = c.assemble(&t, signers, reg, disc, pbftTimeout, pollPeriod, makeNode, func(id model.ID, r rt.Reactor) error {
+		reactors[id] = r
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", name, err)
 	}
-
-	if correct.Len() == 0 {
+	if t.correct.Len() == 0 {
 		// Vacuous termination, as in Runner.Run's immediate cond check.
 		doneOnce.Do(func() { close(done) })
 	}
@@ -280,57 +187,8 @@ func (c *Compiled) RunLive(seed int64, opts LiveOptions) (*Result, error) {
 	res := &Result{Name: name, PerProcess: make(map[model.ID]ProcessResult)}
 	mu.Lock()
 	defer mu.Unlock()
-	res.Termination = termination || decidedCorrect == correct.Len()
-
-	res.Agreement, res.Validity, res.Integrity = true, true, true
-	for id := range doubleDecided {
-		if correct.Has(id) {
-			res.Integrity = false
-		}
-	}
-	var last rt.Time
-	var agreed model.Value
-	first := true
-	for _, id := range c.ids {
-		pr := ProcessResult{Byzantine: hasByz(c.Byz, id)}
-		if n, ok := nodes[id]; ok {
-			if cand, ok := n.Committee(); ok {
-				pr.Committee = cand.Members()
-				pr.G = cand.G
-			}
-		}
-		if v, ok := decisions[id]; ok {
-			pr.Decided, pr.Value, pr.DecidedAt = true, v, decidedAt[id]
-		}
-		res.PerProcess[id] = pr
-
-		if !correct.Has(id) || !pr.Decided {
-			continue
-		}
-		if pr.DecidedAt > last {
-			last = pr.DecidedAt
-		}
-		if first {
-			agreed, first = pr.Value, false
-		} else if !agreed.Equal(pr.Value) {
-			res.Agreement = false
-		}
-		proposed := false
-		for _, p := range proposals {
-			if p.Equal(pr.Value) {
-				proposed = true
-				break
-			}
-		}
-		if !proposed {
-			res.Validity = false
-		}
-	}
-	if res.Termination {
-		res.Elapsed = last
-	} else {
-		res.Elapsed = c.Horizon
-	}
+	res.Termination = termination || t.allDecided()
+	c.grade(res, &t)
 	res.Messages, res.Bytes = cluster.Messages(), cluster.Bytes()
 	return res, nil
 }

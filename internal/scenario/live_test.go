@@ -11,14 +11,20 @@ import (
 
 // twinCells are the pinned scenario cells the twin property is checked on:
 // the Fig. 1(b) graph under each of the paper's three communication
-// assumptions, plus a Byzantine cell. Horizons are short — the async cell's
-// verdict is non-termination, which costs a full (scaled) horizon of wall
-// time.
+// assumptions, a silent Byzantine cell, and one synchronous cell per other
+// zoo kind at the figure's scripted Byzantine process, so every branch of
+// the shared reactor assembly runs live. Horizons are short — the async
+// cell's verdict is non-termination, which costs a full (scaled) horizon of
+// wall time.
 func twinCells(t *testing.T) []Params {
 	t.Helper()
 	def, err := graph.ParseDef("fig1b")
 	if err != nil {
 		t.Fatal(err)
+	}
+	zoo := func(kind ByzKind) Params {
+		return Params{Graph: def, Mode: core.ModeKnownF, F: -1, Net: NetParams{Kind: NetSync},
+			Auto: AutoByz{Kind: kind, Count: 1, Place: PlaceFigure}, Horizon: 10 * sim.Second}
 	}
 	return []Params{
 		{Graph: def, Mode: core.ModeKnownF, F: -1, Net: NetParams{Kind: NetSync}, Horizon: 10 * sim.Second},
@@ -26,6 +32,7 @@ func twinCells(t *testing.T) []Params {
 		{Graph: def, Mode: core.ModeKnownF, F: -1, Net: NetParams{Kind: NetAsync}, Horizon: 5 * sim.Second},
 		{Graph: def, Mode: core.ModeKnownF, F: -1, Net: NetParams{Kind: NetSync},
 			Auto: AutoByz{Kind: ByzSilent, Count: 1, Place: PlaceTail}, Horizon: 10 * sim.Second},
+		zoo(ByzFakePD), zoo(ByzEquivPD), zoo(ByzAsCorrect), zoo(ByzDelay), zoo(ByzSelectiveSilent), zoo(ByzCollude),
 	}
 }
 

@@ -246,6 +246,34 @@ func ParseByzKind(s string) (ByzKind, error) {
 	}
 }
 
+// ParseByz parses a Byzantine assignment list, "ID[:kind],..." as the
+// -byz flags of cupsim and cupd take it: "4:silent,7:fake-pd". A bare ID
+// defaults to silent; the empty string assigns nobody.
+func ParseByz(s string) (map[model.ID]ByzParams, error) {
+	out := make(map[model.ID]ByzParams)
+	if s == "" {
+		return out, nil
+	}
+	for _, item := range strings.Split(s, ",") {
+		kv := strings.SplitN(item, ":", 2)
+		raw, err := strconv.ParseUint(kv[0], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad byzantine spec %q", item)
+		}
+		kind := "silent"
+		if len(kv) == 2 {
+			kind = kv[1]
+		}
+		var bp ByzParams
+		bp.Kind, err = ParseByzKind(kind)
+		if err != nil {
+			return nil, err
+		}
+		out[model.ID(raw)] = bp
+	}
+	return out, nil
+}
+
 // ParseByzPlace parses a ByzPlace's String form.
 func ParseByzPlace(s string) (ByzPlace, error) {
 	switch s {

@@ -218,11 +218,6 @@ func Run(spec Spec) (*Result, error) {
 	return c.Run(spec.Seed, spec.Trace)
 }
 
-func hasByz(m map[model.ID]ByzSpec, id model.ID) bool {
-	_, ok := m[id]
-	return ok
-}
-
 func minTime(a, b sim.Time) sim.Time {
 	if a < b {
 		return a

@@ -204,3 +204,57 @@ func TestScenarioDeterminism(t *testing.T) {
 		t.Fatalf("runs differ: %d/%d/%d vs %d/%d/%d", a.Messages, a.Bytes, a.Elapsed, b.Messages, b.Bytes, b.Elapsed)
 	}
 }
+
+// TestParseFlagForms pins the flag parsers cupsim and cupd share: ParseMode
+// inverts Mode.String, and ParseByz reads every -byz list form, defaulting
+// a bare ID to silent.
+func TestParseFlagForms(t *testing.T) {
+	modes := []struct {
+		in      string
+		want    core.Mode
+		wantErr bool
+	}{
+		{core.ModeKnownF.String(), core.ModeKnownF, false},
+		{core.ModeUnknownF.String(), core.ModeUnknownF, false},
+		{core.ModeNaive.String(), core.ModeNaive, false},
+		{core.ModePermissioned.String(), core.ModePermissioned, false},
+		{"bft-raft", 0, true},
+	}
+	for _, tc := range modes {
+		got, err := core.ParseMode(tc.in)
+		if (err != nil) != tc.wantErr || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v (error %t)", tc.in, got, err, tc.want, tc.wantErr)
+		}
+	}
+
+	byzLists := []struct {
+		in      string
+		want    map[model.ID]ByzKind
+		wantErr bool
+	}{
+		{"", map[model.ID]ByzKind{}, false},
+		{"4", map[model.ID]ByzKind{4: ByzSilent}, false},
+		{"4:silent,7:fake-pd", map[model.ID]ByzKind{4: ByzSilent, 7: ByzFakePD}, false},
+		{"x:silent", nil, true},
+		{"4:bogus", nil, true},
+	}
+	for _, tc := range byzLists {
+		got, err := ParseByz(tc.in)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("ParseByz(%q) error = %v, want error %t", tc.in, err, tc.wantErr)
+			continue
+		}
+		if tc.wantErr {
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("ParseByz(%q) = %v, want kinds %v", tc.in, got, tc.want)
+			continue
+		}
+		for id, kind := range tc.want {
+			if bp, ok := got[id]; !ok || bp.Kind != kind {
+				t.Errorf("ParseByz(%q)[%v] = %+v, want kind %v", tc.in, id, bp, kind)
+			}
+		}
+	}
+}

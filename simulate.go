@@ -61,31 +61,22 @@ type Network struct {
 	SlowGroups [][]ID
 }
 
-func (n Network) build() sim.NetworkModel {
-	delta := sim.Time(n.Delta)
-	if delta <= 0 {
-		delta = 5 * sim.Millisecond
-	}
+// params translates the network into the scenario layer's description,
+// whose Model applies the defaults (5ms Δ, 2s GST, the adversarial
+// scheduler's 2s/×3). SlowGroups is NetParams.FastGroups: links inside one
+// group are fast before GST, every other link is slow.
+func (n Network) params() scenario.NetParams {
+	np := scenario.NetParams{Delta: sim.Time(n.Delta), GST: sim.Time(n.GST)}
 	switch n.Kind {
 	case NetworkPartiallySynchronous:
-		gst := sim.Time(n.GST)
-		if gst <= 0 {
-			gst = 2 * sim.Second
+		np.Kind = scenario.NetPartial
+		for _, g := range n.SlowGroups {
+			np.FastGroups = append(np.FastGroups, model.NewIDSet(g...))
 		}
-		slow := func(a, b model.ID) bool { return true }
-		if len(n.SlowGroups) > 0 {
-			groups := make([]model.IDSet, 0, len(n.SlowGroups))
-			for _, g := range n.SlowGroups {
-				groups = append(groups, model.NewIDSet(g...))
-			}
-			slow = sim.SlowBetweenGroups(groups...)
-		}
-		return sim.PartialSync{GST: gst, Delta: delta, Slow: slow}
 	case NetworkAsynchronousAdversarial:
-		return sim.AsyncAdversarial{Delta: 2 * sim.Second, Factor: 3}
-	default:
-		return sim.Synchronous{Delta: delta}
+		np.Kind = scenario.NetAsync
 	}
+	return np
 }
 
 // SimOptions describes one deterministic simulation.
@@ -143,7 +134,7 @@ func Simulate(opt SimOptions) (*SimReport, error) {
 		Graph:   opt.Topology.graph(),
 		Mode:    mode,
 		F:       opt.F,
-		Net:     opt.Network.build(),
+		Net:     opt.Network.params().Model(),
 		Horizon: sim.Time(opt.Horizon),
 		Seed:    opt.Seed,
 	}
