@@ -443,9 +443,9 @@ func searchReplays() ([]SearchBench, error) {
 }
 
 // runBenchJSON measures the hot paths and appends a BenchEntry to the
-// trajectory file (created if absent). With gate > 0 it then compares the
-// fresh entry against the previous one and exits non-zero on a regression
-// beyond the tolerance.
+// trajectory file (created if absent). With gate > 0 it first compares the
+// fresh entry against the recent trajectory (see gateEntry) and exits
+// non-zero, without appending, on a regression beyond the tolerance.
 func runBenchJSON(path, label string, gate float64) {
 	entry := BenchEntry{
 		Label:    label,
@@ -455,6 +455,7 @@ func runBenchJSON(path, label string, gate float64) {
 		Engine: []EngineBench{
 			engineBench("ring-16", sim.Workload{Procs: 16, Tokens: 16, Fanout: 1}),
 			engineBench("ring-64", sim.Workload{Procs: 64, Tokens: 64, Fanout: 1}),
+			engineBench("broadcast-16", sim.Workload{Procs: 16, Tokens: 4, Fanout: 3, Horizon: 20 * sim.Millisecond}),
 		},
 	}
 
@@ -587,8 +588,7 @@ func runBenchJSON(path, label string, gate float64) {
 	// run's baseline (appending first would let a simple re-run ratify the
 	// regression).
 	if gate > 0 && len(trajectory) > 0 {
-		prev := trajectory[len(trajectory)-1]
-		if err := gateEntry(prev, entry, gate); err != nil {
+		if err := gateEntry(trajectory, entry, gate); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: bench gate (tolerance %.0f%%): %v\n", gate*100, err)
 			fmt.Fprintf(os.Stderr, "experiments: regressed entry NOT appended to %s\n", path)
 			os.Exit(1)
@@ -606,78 +606,84 @@ func runBenchJSON(path, label string, gate float64) {
 	fmt.Printf("appended to %s (%d entries)\n", path, len(trajectory))
 }
 
-// gateEntry compares a fresh entry against the previous one and reports
-// every throughput metric (per-workload events/sec, matrix cells/sec) that
-// regressed by more than the given fraction. Entries measured in different
-// environments (Go version or GOMAXPROCS) are not comparable — hardware
-// alone moves throughput more than any tolerance — so the gate says so and
-// passes rather than flaking; the signal comes from same-environment pairs
-// (a CI runner vs its previous run, a dev machine vs its last append).
-// Workloads the previous entry did not measure are skipped — the gate
+// gateWindow is how many trailing trajectory entries the regression gate
+// reads. Comparing against the best of several entries, not only the last
+// one, catches a slow slide in which every step stays under the tolerance.
+const gateWindow = 5
+
+// throughput is one higher-is-better metric of a BenchEntry.
+type throughput struct {
+	name, unit string
+	value      float64
+}
+
+// throughputs lists every throughput metric an entry carries: per-workload
+// events/s, sweep cells/s, live decides/s and search ops/s.
+func throughputs(e BenchEntry) []throughput {
+	var out []throughput
+	for _, x := range e.Engine {
+		out = append(out, throughput{"engine " + x.Name, "events/s", x.EventsPerSec})
+	}
+	for _, m := range []struct {
+		name string
+		b    *MatrixBench
+	}{
+		{"matrix", e.Matrix}, {"sweep", e.Sweep}, {"sweep-ext", e.SweepExt},
+		{"sweep-worst", e.SweepWorst}, {"sweep-prob", e.SweepProb}, {"sweep-chaos", e.SweepChaos},
+	} {
+		if m.b != nil {
+			out = append(out, throughput{m.name, "cells/s", m.b.CellsPerSec})
+		}
+	}
+	if e.SweepDist != nil {
+		out = append(out, throughput{"sweep-dist", "cells/s", e.SweepDist.CellsPerSec})
+	}
+	if e.CupdLocalhost != nil {
+		out = append(out, throughput{"cupd-localhost", "decides/s", e.CupdLocalhost.DecidesPerSec})
+	}
+	for _, x := range e.Search {
+		out = append(out, throughput{"search " + x.Name, "ops/s", x.OpsPerSec})
+	}
+	return out
+}
+
+// gateEntry compares a fresh entry against the last gateWindow entries of
+// the trajectory and reports every throughput metric that fell more than
+// the given fraction below its best value among those entries measured in
+// the same environment (Go version and GOMAXPROCS). The previous entry, when
+// it is from this environment, is one of them, so the gate is never looser
+// than a previous-entry comparison. Entries from other environments are not
+// comparable — hardware alone moves throughput more than any tolerance — so
+// when none of the window matches, the gate says so and passes rather than
+// flaking. Metrics no entry in the window measured are skipped: the gate
 // compares trajectory, it does not freeze the workload set.
-func gateEntry(prev, cur BenchEntry, tol float64) error {
-	if prev.Go != cur.Go || prev.MaxProcs != cur.MaxProcs {
-		fmt.Printf("bench gate skipped: previous entry is from %s/maxprocs=%d, this run is %s/maxprocs=%d (cross-environment numbers are not comparable)\n",
-			prev.Go, prev.MaxProcs, cur.Go, cur.MaxProcs)
+func gateEntry(trajectory []BenchEntry, cur BenchEntry, tol float64) error {
+	best := make(map[string]float64)
+	same := 0
+	for _, e := range trajectory[max(0, len(trajectory)-gateWindow):] {
+		if e.Go != cur.Go || e.MaxProcs != cur.MaxProcs {
+			continue
+		}
+		same++
+		for _, m := range throughputs(e) {
+			best[m.name] = max(best[m.name], m.value)
+		}
+	}
+	if same == 0 {
+		fmt.Printf("bench gate skipped: none of the last %d entries is from %s/maxprocs=%d (cross-environment numbers are not comparable)\n",
+			gateWindow, cur.Go, cur.MaxProcs)
 		return nil
 	}
-	prevEngine := make(map[string]EngineBench, len(prev.Engine))
-	for _, e := range prev.Engine {
-		prevEngine[e.Name] = e
-	}
 	var regressions []string
-	for _, e := range cur.Engine {
-		p, ok := prevEngine[e.Name]
-		if !ok || p.EventsPerSec <= 0 {
-			continue
-		}
-		if e.EventsPerSec < p.EventsPerSec*(1-tol) {
-			regressions = append(regressions, fmt.Sprintf(
-				"engine %s: %.0f events/s, was %.0f (%.1f%% drop)",
-				e.Name, e.EventsPerSec, p.EventsPerSec, (1-e.EventsPerSec/p.EventsPerSec)*100))
-		}
-	}
-	gateSweep := func(name string, c, p *MatrixBench) {
-		if c != nil && p != nil && p.CellsPerSec > 0 && c.CellsPerSec < p.CellsPerSec*(1-tol) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.2f cells/s, was %.2f (%.1f%% drop)",
-				name, c.CellsPerSec, p.CellsPerSec, (1-c.CellsPerSec/p.CellsPerSec)*100))
-		}
-	}
-	gateSweep("matrix", cur.Matrix, prev.Matrix)
-	gateSweep("sweep", cur.Sweep, prev.Sweep)
-	gateSweep("sweep-ext", cur.SweepExt, prev.SweepExt)
-	gateSweep("sweep-worst", cur.SweepWorst, prev.SweepWorst)
-	gateSweep("sweep-prob", cur.SweepProb, prev.SweepProb)
-	gateSweep("sweep-chaos", cur.SweepChaos, prev.SweepChaos)
-	if c, p := cur.SweepDist, prev.SweepDist; c != nil && p != nil && p.CellsPerSec > 0 && c.CellsPerSec < p.CellsPerSec*(1-tol) {
-		regressions = append(regressions, fmt.Sprintf(
-			"sweep-dist: %.2f cells/s, was %.2f (%.1f%% drop)",
-			c.CellsPerSec, p.CellsPerSec, (1-c.CellsPerSec/p.CellsPerSec)*100))
-	}
-	if c, p := cur.CupdLocalhost, prev.CupdLocalhost; c != nil && p != nil && p.DecidesPerSec > 0 && c.DecidesPerSec < p.DecidesPerSec*(1-tol) {
-		regressions = append(regressions, fmt.Sprintf(
-			"cupd-localhost: %.2f decides/s, was %.2f (%.1f%% drop)",
-			c.DecidesPerSec, p.DecidesPerSec, (1-c.DecidesPerSec/p.DecidesPerSec)*100))
-	}
-	prevSearch := make(map[string]SearchBench, len(prev.Search))
-	for _, s := range prev.Search {
-		prevSearch[s.Name] = s
-	}
-	for _, s := range cur.Search {
-		p, ok := prevSearch[s.Name]
-		if !ok || p.OpsPerSec <= 0 {
-			continue
-		}
-		if s.OpsPerSec < p.OpsPerSec*(1-tol) {
-			regressions = append(regressions, fmt.Sprintf(
-				"search %s: %.0f ops/s, was %.0f (%.1f%% drop)",
-				s.Name, s.OpsPerSec, p.OpsPerSec, (1-s.OpsPerSec/p.OpsPerSec)*100))
+	for _, m := range throughputs(cur) {
+		if b := best[m.name]; b > 0 && m.value < b*(1-tol) {
+			regressions = append(regressions, fmt.Sprintf("%s: %.2f %s, best of %d same-environment entries %.2f (%.1f%% drop)",
+				m.name, m.value, m.unit, same, b, (1-m.value/b)*100))
 		}
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d regression(s):\n  %s", len(regressions), strings.Join(regressions, "\n  "))
 	}
-	fmt.Printf("bench gate passed: no throughput regression beyond %.0f%% vs the previous entry\n", tol*100)
+	fmt.Printf("bench gate passed: no throughput regression beyond %.0f%% vs the best of %d same-environment entries\n", tol*100, same)
 	return nil
 }

@@ -66,7 +66,7 @@ func main() {
 		benchJSON  = flag.Bool("bench-json", false, "run the engine and matrix hot-path benchmarks and append an entry to the trajectory file")
 		benchOut   = flag.String("bench-out", "BENCH_matrix.json", "trajectory file for -bench-json")
 		benchLabel = flag.String("bench-label", "", "label recorded with the -bench-json entry")
-		benchGate  = flag.Float64("bench-gate", 0, "with -bench-json: fail when events/sec or cells/sec regress by more than this fraction vs the previous trajectory entry (0 = off)")
+		benchGate  = flag.Float64("bench-gate", 0, "with -bench-json: fail when events/sec or cells/sec regress by more than this fraction vs the best of the last 5 same-environment trajectory entries (0 = off)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected mode to this file (hot-path work starts from a profile artifact)")
 	)
 	flag.Parse()

@@ -78,6 +78,7 @@ func (m *mailbox) pop() (envelope, bool) {
 		return envelope{}, false
 	}
 	e := m.queue[0]
+	m.queue[0] = envelope{} // the backing array must not keep the payload alive
 	m.queue = m.queue[1:]
 	return e, true
 }

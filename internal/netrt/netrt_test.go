@@ -356,6 +356,23 @@ func TestMailbox(t *testing.T) {
 	}
 }
 
+// TestMailboxPopReleasesPayload checks that a popped envelope leaves no
+// payload reference behind in the queue's backing array, where it would stay
+// reachable until the array is reallocated.
+func TestMailboxPopReleasesPayload(t *testing.T) {
+	m := newMailbox()
+	m.push(envelope{from: 2, payload: []byte("delivered")})
+	backing := m.queue[:cap(m.queue)]
+	if e, ok := m.pop(); !ok || string(e.payload) != "delivered" {
+		t.Fatalf("pop = %+v, %v", e, ok)
+	}
+	for i, e := range backing {
+		if e.payload != nil {
+			t.Fatalf("backing array slot %d still holds payload %q", i, e.payload)
+		}
+	}
+}
+
 // TestFullQueueCountsDrops floods a peer whose stream never drains: the
 // dialed pipe is never read, so the sender stalls on the hello frame and
 // the one-slot queue overflows. Every send is counted as a message, and

@@ -345,7 +345,7 @@ func (c *Compiled) Run(seed int64, trace bool) (*Result, error) {
 }
 
 // Runner owns the per-worker scratch of the Run side of the pipeline: the
-// simulation engine (event heap, payload pool) and the bookkeeping maps,
+// simulation engine (event queue, payload pool) and the bookkeeping maps,
 // reset and reused across runs instead of reallocated per cell. A Runner is
 // for one goroutine; the *Result it returns (and the maps inside it) are
 // owned by the Runner and valid only until its next Run — callers that
@@ -358,7 +358,7 @@ type Runner struct {
 	// searchers is the pool of per-node incremental sink/core search
 	// engines, handed out in node-creation order each run so the knowledge
 	// layer's scratch (Tarjan stacks, max-flow arrays, verdict memos) is
-	// reused across cells the same way the engine's heap and pools are. A
+	// reused across cells the same way the engine's queue and pools are. A
 	// searcher rebinds itself when it sees a new view, so reuse is invisible
 	// to results.
 	searchers    []*kosr.Searcher

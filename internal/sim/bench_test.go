@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkEngine measures the simulator hot path — event-heap churn, message
+// BenchmarkEngine measures the simulator hot path — event-queue churn, message
 // delivery, network-delay RNG draws and metrics accounting — with reactors
 // that do no protocol work. events/s is the headline throughput number the
 // BENCH_matrix.json trajectory tracks; run with -benchmem to see allocs/op on

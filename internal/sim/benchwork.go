@@ -8,7 +8,7 @@ import (
 
 // Workload is a synthetic, engine-dominated traffic pattern used by the
 // hot-path benchmarks (BenchmarkEngine) and by `cmd/experiments -bench-json`.
-// Reactors do no protocol work — every cycle is engine overhead (heap,
+// Reactors do no protocol work — every cycle is engine overhead (queue,
 // delivery, RNG, metrics) — so events/sec measured over a Workload tracks the
 // simulator core, not the protocols running on it.
 type Workload struct {

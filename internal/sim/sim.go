@@ -12,12 +12,14 @@
 //
 // # Hot path
 //
-// The engine is written to be allocation-free in steady state: events live by
-// value in a manually-sifted binary heap (no container/heap interface
-// boxing), message bodies are reference-counted buffers drawn from a
-// per-engine free list, and consecutive sends of byte-identical payloads — the
-// broadcast pattern every protocol layer uses — share one interned buffer
-// instead of copying per recipient. The RNG behind Context.Rand and
+// The engine is written to be allocation-free in steady state. Events live
+// by value in the slab of a calendar queue (queue.go): a ring of fine time
+// buckets holds the near future and a binary heap of small keys the far
+// tail, and delivery is exactly in (at, seq) order. Message bodies are
+// reference-counted buffers drawn from a per-engine free list, and
+// consecutive sends of byte-identical payloads — the broadcast pattern
+// every protocol layer uses — share one interned buffer instead of copying
+// per recipient. The RNG behind Context.Rand and
 // NetworkModel.Delay is a splitmix64 source wrapped in math/rand, a few
 // nanoseconds per draw with no per-engine table allocation.
 //
@@ -30,6 +32,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -112,37 +115,29 @@ type msgBody struct {
 	refs int32
 }
 
-// event is one scheduled delivery. Events are stored by value in the heap —
-// no per-event allocation — and carry the resolved *proc so delivery needs no
-// map lookup.
+// event is one scheduled delivery. Events are stored by value in the event
+// queue's slab — no per-event allocation — and carry the resolved *proc
+// (the recipient, or the process whose timer or control point it is) so
+// delivery needs no map lookup.
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among same-time events
 	kind eventKind
-	gen  uint32 // evTimer: the target's incarnation at scheduling time
-	to   model.ID
+	gen  uint32   // evTimer: the target's incarnation at scheduling time
+	next int32    // the event queue's bucket chain
 	from model.ID // evMessage
 	tgt  *proc
 	body *msgBody // evMessage
 	tag  uint64   // evTimer; evCrash/evRestart: index into Engine.controls
 }
 
-// before orders events by (at, seq): virtual time first, FIFO within a tick.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
-}
-
 // Engine drives a set of reactors over a virtual clock.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // manual binary min-heap on (at, seq)
-	procs  map[model.ID]*proc
-	order  []model.ID
-	net    NetworkModel
+	now   Time
+	q     eventQueue
+	procs map[model.ID]*proc
+	order []model.ID
+	net   NetworkModel
 	// injector is net's FaultInjector view, cached so the zero-fault send
 	// path pays one nil check instead of a per-message type assertion.
 	injector FaultInjector
@@ -195,34 +190,35 @@ type Restartable = rt.Restartable
 // NewEngine creates an engine with the given network model and seed.
 func NewEngine(net NetworkModel, seed int64) *Engine {
 	inj, _ := net.(FaultInjector)
-	return &Engine{
+	e := &Engine{
 		procs:    make(map[model.ID]*proc),
 		net:      net,
 		injector: inj,
 		rng:      newRand(seed),
 		metrics:  &Metrics{},
 	}
+	e.q.init()
+	return e
 }
 
 // Reset returns the engine to its just-constructed state under a new network
-// model and seed, retaining the capacity of the event heap, the payload
+// model and seed, retaining the capacity of the event queue, the payload
 // buffer pool and the process map — the allocations a fresh NewEngine would
 // repeat. A sweep worker running thousands of cells resets one engine
 // instead of constructing one per cell; a reset engine is indistinguishable
 // from a new one (pinned by the scenario-level cached-vs-uncached
 // fingerprint tests).
 func (e *Engine) Reset(net NetworkModel, seed int64) {
-	for i := range e.events {
-		if e.events[i].kind == evMessage {
-			e.releaseBody(e.events[i].body)
+	// Free slab slots are zeroed, so they read as messages with no body.
+	for i := range e.q.slab {
+		if ev := &e.q.slab[i]; ev.kind == evMessage {
+			e.releaseBody(ev.body)
 		}
-		e.events[i] = event{}
 	}
-	e.events = e.events[:0]
+	e.q.clear()
 	clear(e.procs)
 	e.order = e.order[:0]
 	e.now = 0
-	e.seq = 0
 	e.net = net
 	e.injector, _ = net.(FaultInjector)
 	e.rng = newRand(seed)
@@ -311,7 +307,7 @@ func (e *Engine) start() {
 		if ctl.restart {
 			kind = evRestart
 		}
-		e.push(event{at: ctl.at, kind: kind, to: ctl.id, tgt: p, tag: uint64(i)})
+		e.q.push(&event{at: ctl.at, kind: kind, tgt: p, tag: uint64(i)})
 	}
 	sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
 	for _, id := range e.order {
@@ -324,10 +320,21 @@ func (e *Engine) start() {
 
 // Step processes the next event. It returns false when the event queue is
 // empty.
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
+// step processes the next event if it is due by horizon, and reports
+// whether it did. Only the first event popped is held to horizon: when it
+// is dropped (a crashed target, a stale timer), the events popped after it
+// in the same step are not, which is the order every pinned trace and
+// fingerprint was recorded with.
+func (e *Engine) step(horizon Time) bool {
 	e.start()
-	for len(e.events) > 0 {
-		ev := e.popEvent()
+	var ev event
+	for {
+		if !e.q.pop(horizon, &ev) {
+			return false
+		}
+		horizon = math.MaxInt64
 		e.now = ev.at
 		switch ev.kind {
 		case evMessage:
@@ -377,7 +384,6 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // RunUntil processes events until cond() holds (checked after every event),
@@ -387,16 +393,13 @@ func (e *Engine) RunUntil(cond func() bool, horizon Time) bool {
 	if cond() {
 		return true
 	}
-	for len(e.events) > 0 {
-		if e.events[0].at > horizon {
-			return false
-		}
-		if !e.Step() {
-			break
-		}
+	for e.step(horizon) {
 		if cond() {
 			return true
 		}
+	}
+	if e.q.size() > 0 {
+		return false // the next event lies beyond the horizon
 	}
 	return cond()
 }
@@ -404,53 +407,6 @@ func (e *Engine) RunUntil(cond func() bool, horizon Time) bool {
 // Run processes events until the horizon passes or the queue drains.
 func (e *Engine) Run(horizon Time) {
 	e.RunUntil(func() bool { return false }, horizon)
-}
-
-// push assigns the FIFO sequence number and sifts the event into the heap.
-// The heap is a plain []event: pushes reuse the slice's capacity, so the
-// steady state allocates nothing.
-func (e *Engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	e.events = h
-}
-
-// popEvent removes and returns the earliest event (min on (at, seq)).
-func (e *Engine) popEvent() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop the body/proc pointers for the GC
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r].before(&h[l]) {
-			m = r
-		}
-		if !h[m].before(&h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	e.events = h
-	return root
 }
 
 // acquireBody returns a buffer holding a copy of payload. Consecutive
@@ -533,7 +489,7 @@ func (c *procCtx) Send(to model.ID, payload []byte) {
 		if d < 0 {
 			d = 0
 		}
-		e.push(event{at: e.now + d, kind: evMessage, to: to, from: c.proc.id, tgt: tgt, body: e.acquireBody(payload)})
+		e.q.push(&event{at: e.now + d, kind: evMessage, from: c.proc.id, tgt: tgt, body: e.acquireBody(payload)})
 	}
 }
 
@@ -542,5 +498,5 @@ func (c *procCtx) SetTimer(d Time, tag uint64) {
 		d = 0
 	}
 	e := c.engine
-	e.push(event{at: e.now + d, kind: evTimer, to: c.proc.id, tgt: c.proc, tag: tag, gen: c.proc.gen})
+	e.q.push(&event{at: e.now + d, kind: evTimer, tgt: c.proc, tag: tag, gen: c.proc.gen})
 }
